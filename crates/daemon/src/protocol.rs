@@ -27,12 +27,16 @@
 //! [`DaemonReport`] ([`DaemonReport::live_view`]), so mid-run and
 //! post-run answers share one code path and are bit-identical for any
 //! completed tick. [`serve`] (finished report) and [`serve_live`]
-//! (in-flight [`LiveBus`]) wrap the handlers in a blocking
-//! single-threaded TCP accept loop (the daemon's query load is one
-//! operator, not a fleet).
+//! (in-flight [`LiveBus`]) wrap the handlers in a TCP accept loop that
+//! serves up to [`MAX_CLIENTS`] connections concurrently, caps request
+//! lines at [`MAX_REQUEST_BYTES`], and sends each answer line in one
+//! write on a `TCP_NODELAY` socket.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::time::Duration;
 
 use serde::Value;
 use tm_core::stream::StreamMode;
@@ -125,14 +129,18 @@ pub fn handle_line(report: &DaemonReport, line: &str) -> String {
 /// returns a single JSON line; malformed input yields an `"ok":false`
 /// response rather than an error.
 pub fn handle_line_view(view: &LiveView, line: &str) -> String {
+    answer_line(view, line).0
+}
+
+/// [`handle_line_view`] plus whether the request was `shutdown`, so the
+/// serve loop parses each line once.
+fn answer_line(view: &LiveView, line: &str) -> (String, bool) {
     let request: Value = match serde_json::from_str(line.trim()) {
         Ok(v) => v,
-        Err(e) => {
-            return serde_json::to_string(&error(format!("bad request: {e}")))
-                .expect("response serialization is infallible")
-        }
+        Err(e) => return (error_response(format!("bad request: {e}")), false),
     };
-    let response = match str_field(&request, "cmd") {
+    let cmd = str_field(&request, "cmd");
+    let response = match cmd {
         Some("status") => status(view),
         Some("health") => health(view, str_field(&request, "shard")),
         Some("estimate") => estimate(view, &request),
@@ -146,7 +154,8 @@ pub fn handle_line_view(view: &LiveView, line: &str) -> String {
             "missing string field `cmd` (supported: {SUPPORTED_CMDS})"
         )),
     };
-    serde_json::to_string(&response).expect("response serialization is infallible")
+    let response = serde_json::to_string(&response).expect("response serialization is infallible");
+    (response, cmd == Some("shutdown"))
 }
 
 fn status(view: &LiveView) -> Value {
@@ -658,16 +667,28 @@ fn whatif(view: &LiveView, request: &Value) -> Value {
 }
 
 /// How long an accepted client may sit silent between request lines
-/// before the serve loop drops it and moves on to the next connection.
-/// One stuck (or merely connected-and-idle) client must never wedge the
-/// single-threaded accept loop forever.
-pub const CLIENT_READ_DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
+/// before its connection is dropped. Connections are served
+/// concurrently, so a silent client holds only its own slot (one of
+/// [`MAX_CLIENTS`]), and for at most this long.
+pub const CLIENT_READ_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Serve [`handle_line`] over a TCP listener, one client at a time,
-/// until a client sends `{"cmd":"shutdown"}`. Connection drops move on
-/// to the next client; the listener itself erroring ends the loop. A
-/// client that stays silent for [`CLIENT_READ_DEADLINE`] is dropped.
-pub fn serve(report: &DaemonReport, listener: TcpListener) -> std::io::Result<()> {
+/// The most connections served at once. A connection accepted while
+/// this many are open is answered with one `"ok":false` line and
+/// closed.
+pub const MAX_CLIENTS: usize = 16;
+
+/// The longest request line served, newline excluded. A longer line is
+/// answered with one `"ok":false` line and its connection is closed, so
+/// a client that never sends a newline cannot grow server memory
+/// without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// Serve [`handle_line`] over a TCP listener until a client sends
+/// `{"cmd":"shutdown"}`. Up to [`MAX_CLIENTS`] connections are served
+/// concurrently; a connection drop ends only that connection, the
+/// listener itself erroring ends the loop. A client that stays silent
+/// for [`CLIENT_READ_DEADLINE`] is dropped.
+pub fn serve(report: &DaemonReport, listener: TcpListener) -> io::Result<()> {
     serve_deadline(report, listener, CLIENT_READ_DEADLINE)
 }
 
@@ -675,21 +696,17 @@ pub fn serve(report: &DaemonReport, listener: TcpListener) -> std::io::Result<()
 pub fn serve_deadline(
     report: &DaemonReport,
     listener: TcpListener,
-    read_deadline: std::time::Duration,
-) -> std::io::Result<()> {
+    read_deadline: Duration,
+) -> io::Result<()> {
     let view = report.live_view();
-    serve_with(
-        |line| handle_line_view(&view, line),
-        listener,
-        read_deadline,
-    )
+    serve_with(|line| answer_line(&view, line), listener, read_deadline)
 }
 
 /// Serve [`handle_line_view`] over a TCP listener against an in-flight
 /// run: every request is answered from the newest view published on
 /// `bus`, so answers advance as the coordinator streams the day. Same
 /// loop discipline (and silent-client deadline) as [`serve`].
-pub fn serve_live(bus: &LiveBus, listener: TcpListener) -> std::io::Result<()> {
+pub fn serve_live(bus: &LiveBus, listener: TcpListener) -> io::Result<()> {
     serve_live_deadline(bus, listener, CLIENT_READ_DEADLINE)
 }
 
@@ -697,51 +714,136 @@ pub fn serve_live(bus: &LiveBus, listener: TcpListener) -> std::io::Result<()> {
 pub fn serve_live_deadline(
     bus: &LiveBus,
     listener: TcpListener,
-    read_deadline: std::time::Duration,
-) -> std::io::Result<()> {
+    read_deadline: Duration,
+) -> io::Result<()> {
     serve_with(
-        |line| handle_line_view(&bus.load(), line),
+        |line| answer_line(&bus.load(), line),
         listener,
         read_deadline,
     )
 }
 
+/// Accept connections and serve each on its own scoped thread until
+/// one of them asks for `shutdown`. That connection's thread sets
+/// `stopping` and wakes the blocked `accept` by connecting to the
+/// listener itself; the loop then shuts down every connection still
+/// open, which ends their blocked reads at once, and returns after the
+/// scope has joined them.
 fn serve_with(
-    mut respond: impl FnMut(&str) -> String,
+    respond: impl Fn(&str) -> (String, bool) + Sync,
     listener: TcpListener,
-    read_deadline: std::time::Duration,
-) -> std::io::Result<()> {
-    for stream in listener.incoming() {
-        let stream = stream?;
-        // A read deadline, not a slice: `read_line` blocks until a full
-        // line, the timeout, or EOF — whichever comes first. A silent
-        // client therefore costs at most one deadline, then the loop
-        // accepts the next connection.
-        stream.set_read_timeout(Some(read_deadline.max(std::time::Duration::from_millis(1))))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break, // client went away or went silent
-                Ok(_) => {}
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = respond(&line);
-            if writeln!(writer, "{response}").is_err() {
+    read_deadline: Duration,
+) -> io::Result<()> {
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let read_deadline = read_deadline.max(Duration::from_millis(1));
+    let stopping = AtomicBool::new(false);
+    // A clone of every open connection, keyed by accept order, so the
+    // loop can close them all on shutdown.
+    let open: Mutex<Vec<(usize, TcpStream)>> = Mutex::new(Vec::new());
+    let lock = || open.lock().expect("no thread panics holding the list");
+
+    std::thread::scope(|scope| {
+        let mut accepted = Ok(());
+        for (id, stream) in listener.incoming().enumerate() {
+            if stopping.load(Ordering::SeqCst) {
                 break;
             }
-            let shutdown = serde_json::from_str::<Value>(line.trim())
-                .ok()
-                .and_then(|v| v.field("cmd").ok().cloned())
-                .is_some_and(|cmd| matches!(cmd, Value::Str(ref c) if c == "shutdown"));
-            if shutdown {
-                return Ok(());
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(e) => {
+                    accepted = Err(e);
+                    break;
+                }
+            };
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
+            {
+                let mut open = lock();
+                if open.len() >= MAX_CLIENTS {
+                    drop(open);
+                    let busy = format!("server busy: {MAX_CLIENTS} clients connected");
+                    let _ = write_line(&stream, error_response(busy));
+                    let _ = stream.shutdown(Shutdown::Write);
+                    continue;
+                }
+                open.push((id, clone));
             }
+            let (respond, stopping, lock) = (&respond, &stopping, &lock);
+            scope.spawn(move || {
+                if serve_client(&stream, respond, read_deadline) {
+                    stopping.store(true, Ordering::SeqCst);
+                    // Only wakes the accept loop; a failure here means
+                    // it wakes at the next connection instead.
+                    let _ = TcpStream::connect(wake);
+                }
+                lock().retain(|(other, _)| *other != id);
+            });
+        }
+        for (_, stream) in lock().iter() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        accepted
+    })
+}
+
+fn error_response(message: impl Into<String>) -> String {
+    serde_json::to_string(&error(message)).expect("response serialization is infallible")
+}
+
+/// Send `text` and its newline in one write.
+fn write_line(mut stream: &TcpStream, mut text: String) -> io::Result<()> {
+    text.push('\n');
+    stream.write_all(text.as_bytes())
+}
+
+/// Answer one connection's requests in order until the client closes
+/// it, stays silent for `read_deadline`, sends a line longer than
+/// [`MAX_REQUEST_BYTES`] or asks for `shutdown`. Returns whether it
+/// asked for `shutdown` (and was answered).
+fn serve_client(
+    stream: &TcpStream,
+    respond: &impl Fn(&str) -> (String, bool),
+    read_deadline: Duration,
+) -> bool {
+    // Each answer leaves in one write with Nagle's algorithm off, so no
+    // part of it waits for the ACK of an earlier segment.
+    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(read_deadline)).is_err() {
+        return false;
+    }
+    let mut reader = BufReader::new(stream).take(0);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // A read deadline, not a slice: `read_until` blocks until a full
+        // line, the length cap, the timeout or EOF, whichever is first.
+        reader.set_limit(MAX_REQUEST_BYTES as u64 + 1);
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return false, // client went away or went silent
+            Ok(_) => {}
+        }
+        if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            let long = format!("request line longer than {MAX_REQUEST_BYTES} bytes; closing");
+            let _ = write_line(stream, error_response(long));
+            let _ = stream.shutdown(Shutdown::Write);
+            return false;
+        }
+        let (answer, shutdown) = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => respond(text),
+            Err(e) => (error_response(format!("bad request: {e}")), false),
+        };
+        if write_line(stream, answer).is_err() {
+            return false;
+        }
+        if shutdown {
+            return true;
         }
     }
-    Ok(())
 }

@@ -2,6 +2,8 @@
 //! clean-tick aggregates against the in-process engine, quarantine
 //! semantics, and the query protocol over a finished run.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use tm_core::measure::{LoadFaultPlan, LoadOutage};
@@ -244,11 +246,17 @@ fn protocol_answers_status_health_and_estimates() {
     }
 }
 
+/// Send `request` and its newline in one write, then read one answer.
+fn ask(client: &mut BufReader<TcpStream>, request: &str) -> String {
+    let mut line = format!("{request}\n");
+    client.get_mut().write_all(line.as_bytes()).unwrap();
+    line.clear();
+    client.read_line(&mut line).unwrap();
+    line
+}
+
 #[test]
 fn protocol_serves_over_tcp_until_shutdown() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-
     let daemon = Daemon::new(shards(), config()).unwrap();
     let report = daemon.run(0..4).unwrap();
 
@@ -256,18 +264,11 @@ fn protocol_serves_over_tcp_until_shutdown() {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || tm_daemon::serve(&report, listener));
 
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut line = String::new();
-
-    writeln!(writer, r#"{{"cmd":"status"}}"#).unwrap();
-    reader.read_line(&mut line).unwrap();
+    let mut client = BufReader::new(TcpStream::connect(addr).unwrap());
+    let line = ask(&mut client, r#"{"cmd":"status"}"#);
     assert!(line.contains(r#""ok":true"#), "{line}");
 
-    line.clear();
-    writeln!(writer, r#"{{"cmd":"shutdown"}}"#).unwrap();
-    reader.read_line(&mut line).unwrap();
+    let line = ask(&mut client, r#"{"cmd":"shutdown"}"#);
     assert!(line.contains(r#""bye":true"#), "{line}");
 
     server.join().unwrap().unwrap();

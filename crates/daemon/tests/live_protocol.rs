@@ -5,12 +5,16 @@
 //! config drives the same runs.
 
 use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use serde::Value;
 use tm_core::measure::{LoadFaultPlan, LoadOutage};
 use tm_core::Method;
+use tm_daemon::protocol::{MAX_CLIENTS, MAX_REQUEST_BYTES};
 use tm_daemon::telemetry::LiveBus;
 use tm_daemon::{
     handle_line, handle_line_view, parse_daemon_toml, ChaosPlan, Daemon, DaemonConfig, ShardSpec,
@@ -39,6 +43,48 @@ fn shards() -> Vec<ShardSpec> {
         ShardSpec::new("east", DatasetSpec::tiny(), 11),
         ShardSpec::new("west", DatasetSpec::tiny(), 12),
     ]
+}
+
+const STATUS: &str = r#"{"cmd":"status"}"#;
+const SHUTDOWN: &str = r#"{"cmd":"shutdown"}"#;
+
+/// Bind a loopback listener and run `serve` on it in the background.
+fn spawn_server(
+    serve: impl FnOnce(TcpListener) -> std::io::Result<()> + Send + 'static,
+) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    (addr, std::thread::spawn(move || serve(listener)))
+}
+
+/// A protocol client whose reads give up after 10 s.
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    BufReader::new(stream)
+}
+
+/// Send `request` and its newline in one write, then read one answer.
+fn ask(client: &mut BufReader<TcpStream>, request: &str) -> String {
+    let mut line = format!("{request}\n");
+    client.get_mut().write_all(line.as_bytes()).unwrap();
+    line.clear();
+    client.read_line(&mut line).unwrap();
+    line
+}
+
+/// Whether the server has closed `client`'s connection: the next read
+/// ends the stream (or reports a reset) instead of timing out.
+fn closed_by_server(client: &mut BufReader<TcpStream>) -> bool {
+    match client.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+    }
 }
 
 fn parse(line: &str) -> Value {
@@ -393,38 +439,25 @@ kind = "kill"
     }
 }
 
-/// Satellite: a connected-but-silent client must not wedge the
-/// single-threaded serve loop. The per-connection read deadline drops
-/// it, and the next queued client gets served.
+/// A connected-but-silent client must not wedge the serve loop: the
+/// next client is served while it sits there, and the per-connection
+/// read deadline eventually drops it.
 #[test]
 fn silent_client_cannot_wedge_the_serve_loop() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-
     let daemon = Daemon::new(shards(), config()).unwrap();
     let report = daemon.run(0..2).unwrap();
 
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let deadline = Duration::from_millis(200);
-    let server = std::thread::spawn(move || tm_daemon::serve_deadline(&report, listener, deadline));
+    let (addr, server) =
+        spawn_server(move |listener| tm_daemon::serve_deadline(&report, listener, deadline));
 
-    // First client connects and says nothing; it holds the accept loop
-    // for at most one deadline.
+    // First client connects and says nothing.
     let silent = TcpStream::connect(addr).unwrap();
 
-    // Second client queues behind it and must still get answers.
-    let stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut line = String::new();
-
-    let start = std::time::Instant::now();
-    writeln!(writer, r#"{{"cmd":"status"}}"#).unwrap();
-    reader.read_line(&mut line).unwrap();
+    // Second client connects after it and must still get answers.
+    let mut client = connect(addr);
+    let start = Instant::now();
+    let line = ask(&mut client, STATUS);
     assert!(line.contains(r#""ok":true"#), "{line}");
     assert!(
         start.elapsed() < Duration::from_secs(5),
@@ -432,9 +465,7 @@ fn silent_client_cannot_wedge_the_serve_loop() {
         start.elapsed()
     );
 
-    line.clear();
-    writeln!(writer, r#"{{"cmd":"shutdown"}}"#).unwrap();
-    reader.read_line(&mut line).unwrap();
+    let line = ask(&mut client, SHUTDOWN);
     assert!(line.contains(r#""bye":true"#), "{line}");
     drop(silent);
     server.join().unwrap().unwrap();
@@ -443,33 +474,181 @@ fn silent_client_cannot_wedge_the_serve_loop() {
 /// The same deadline protects the live server mid-run.
 #[test]
 fn live_serve_applies_the_read_deadline() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-
     let bus = Arc::new(LiveBus::new());
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let server_bus = Arc::clone(&bus);
     let deadline = Duration::from_millis(150);
-    let server =
-        std::thread::spawn(move || tm_daemon::serve_live_deadline(&server_bus, listener, deadline));
+    let (addr, server) = spawn_server(move |listener| {
+        tm_daemon::serve_live_deadline(&server_bus, listener, deadline)
+    });
 
-    let silent = TcpStream::connect(addr).unwrap();
-    let stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut line = String::new();
-    writeln!(writer, r#"{{"cmd":"status"}}"#).unwrap();
-    reader.read_line(&mut line).unwrap();
+    let mut silent = connect(addr);
+    let mut client = connect(addr);
+    let line = ask(&mut client, STATUS);
+    assert!(line.contains(r#""ok":true"#), "{line}");
+    assert!(
+        closed_by_server(&mut silent),
+        "the deadline drops the silent client"
+    );
+
+    // `client` may have hit the same deadline by now; ask on a fresh one.
+    let line = ask(&mut connect(addr), SHUTDOWN);
+    assert!(line.contains(r#""bye":true"#), "{line}");
+    server.join().unwrap().unwrap();
+}
+
+/// A closed-loop client sends each request only after the previous
+/// answer arrived, so any per-answer transport stall (an answer's tail
+/// held back until the client's delayed ACK) multiplies by the request
+/// count. 200 estimates must take well under a delayed-ACK timer each,
+/// from a finished report and from a live bus alike.
+#[test]
+fn closed_loop_requests_are_answered_without_transport_stalls() {
+    const REQUEST: &str = r#"{"cmd":"estimate","shard":"east","tick":1,"method":"gravity"}"#;
+    let daemon = Daemon::new(shards(), config()).unwrap();
+    let bus = Arc::new(LiveBus::new());
+    let report = daemon.run_live(0..2, &bus).unwrap();
+    let expected = handle_line(&report, REQUEST);
+    assert!(expected.contains(r#""ok":true"#), "{expected}");
+
+    let closed_loop = |addr: SocketAddr| {
+        let mut client = connect(addr);
+        let start = Instant::now();
+        for _ in 0..200 {
+            assert_eq!(ask(&mut client, REQUEST).trim_end(), expected);
+        }
+        let elapsed = start.elapsed();
+        assert!(ask(&mut client, SHUTDOWN).contains(r#""bye":true"#));
+        elapsed
+    };
+
+    let (addr, server) = spawn_server(move |listener| tm_daemon::serve(&report, listener));
+    let finished = closed_loop(addr);
+    server.join().unwrap().unwrap();
+
+    let (addr, server) = spawn_server(move |listener| tm_daemon::serve_live(&bus, listener));
+    let live = closed_loop(addr);
+    server.join().unwrap().unwrap();
+
+    for (server, elapsed) in [("serve", finished), ("serve_live", live)] {
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "{server}: 200 closed-loop estimates took {elapsed:?}"
+        );
+    }
+}
+
+/// A hog that holds a half-sent request open under the default 30 s
+/// deadline does not delay a normal client, and is itself still served
+/// once it finishes its line.
+#[test]
+fn a_hog_client_does_not_delay_a_normal_one() {
+    let report = Daemon::new(shards(), config()).unwrap().run(0..2).unwrap();
+    let (addr, server) = spawn_server(move |listener| tm_daemon::serve(&report, listener));
+
+    // The hog connects first, so a one-at-a-time loop would serve it
+    // first and wait out its deadline.
+    let mut hog = connect(addr);
+    hog.get_mut().write_all(br#"{"cmd":"sta"#).unwrap();
+
+    let mut client = connect(addr);
+    let start = Instant::now();
+    let line = ask(&mut client, STATUS);
+    let waited = start.elapsed();
+    assert!(line.contains(r#""ok":true"#), "{line}");
+    assert!(
+        waited < Duration::from_secs(1),
+        "normal client waited {waited:?} behind a hog"
+    );
+
+    // The hog was never dropped: finishing its line gets it an answer.
+    let line = ask(&mut hog, r#"tus"}"#);
     assert!(line.contains(r#""ok":true"#), "{line}");
 
-    line.clear();
-    writeln!(writer, r#"{{"cmd":"shutdown"}}"#).unwrap();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains(r#""bye":true"#), "{line}");
-    drop(silent);
+    assert!(ask(&mut client, SHUTDOWN).contains(r#""bye":true"#));
     server.join().unwrap().unwrap();
+}
+
+/// A request line of exactly `MAX_REQUEST_BYTES` is served; one byte
+/// more without a newline gets one typed error and a closed connection.
+/// Bytes that are not UTF-8 are a bad request, not a reason to close.
+#[test]
+fn an_over_long_request_line_gets_an_error_and_a_closed_connection() {
+    let report = Daemon::new(shards(), config()).unwrap().run(0..2).unwrap();
+    let (addr, server) = spawn_server(move |listener| tm_daemon::serve(&report, listener));
+
+    let mut client = connect(addr);
+    client.get_mut().write_all(b"\xff\xfe\n").unwrap();
+    let mut line = String::new();
+    client.read_line(&mut line).unwrap();
+    assert!(line.contains("bad request"), "{line}");
+
+    let padded = STATUS.to_string() + &" ".repeat(MAX_REQUEST_BYTES - STATUS.len());
+    let line = ask(&mut client, &padded);
+    assert!(line.contains(r#""ok":true"#), "a line at the cap is served");
+
+    let over = vec![b' '; MAX_REQUEST_BYTES + 1];
+    client.get_mut().write_all(&over).unwrap();
+    let mut line = String::new();
+    client.read_line(&mut line).unwrap();
+    assert!(line.contains(r#""ok":false"#), "{line}");
+    assert!(
+        line.contains(&format!("longer than {MAX_REQUEST_BYTES} bytes")),
+        "{line}"
+    );
+    assert!(closed_by_server(&mut client), "the connection must close");
+
+    assert!(ask(&mut connect(addr), SHUTDOWN).contains(r#""bye":true"#));
+    server.join().unwrap().unwrap();
+}
+
+/// With `MAX_CLIENTS` connections open and served, one more gets a
+/// single busy error line and is closed; the open ones keep working.
+#[test]
+fn connections_over_the_cap_are_refused_with_one_error_line() {
+    let report = Daemon::new(shards(), config()).unwrap().run(0..2).unwrap();
+    let (addr, server) = spawn_server(move |listener| tm_daemon::serve(&report, listener));
+
+    // An answer on each proves every connection holds a slot.
+    let mut held: Vec<BufReader<TcpStream>> = (0..MAX_CLIENTS).map(|_| connect(addr)).collect();
+    for client in &mut held {
+        assert!(ask(client, STATUS).contains(r#""ok":true"#));
+    }
+
+    let mut extra = connect(addr);
+    let mut line = String::new();
+    extra.read_line(&mut line).unwrap();
+    assert!(line.contains(r#""ok":false"#), "{line}");
+    assert!(line.contains("busy"), "{line}");
+    assert!(
+        closed_by_server(&mut extra),
+        "the refused connection must close"
+    );
+
+    assert!(ask(&mut held[0], SHUTDOWN).contains(r#""bye":true"#));
+    server.join().unwrap().unwrap();
+}
+
+/// `shutdown` returns the serve loop at once, even while another client
+/// is connected and silent under the default 30 s read deadline; that
+/// client's connection is closed rather than waited out.
+#[test]
+fn shutdown_returns_promptly_while_a_silent_client_is_connected() {
+    let report = Daemon::new(shards(), config()).unwrap().run(0..2).unwrap();
+    let (addr, server) = spawn_server(move |listener| tm_daemon::serve(&report, listener));
+
+    let mut silent = connect(addr);
+    let mut client = connect(addr);
+    // Both connections are being served once the second is answered
+    // (the silent one was accepted first).
+    assert!(ask(&mut client, STATUS).contains(r#""ok":true"#));
+
+    let start = Instant::now();
+    assert!(ask(&mut client, SHUTDOWN).contains(r#""bye":true"#));
+    server.join().unwrap().unwrap();
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_secs(2),
+        "serve returned {waited:?} after shutdown"
+    );
+    assert!(closed_by_server(&mut silent), "the silent client is closed");
 }
